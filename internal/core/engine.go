@@ -40,7 +40,14 @@ type Stats struct {
 // new, recompressed grammar with the same val. The input grammar is not
 // modified.
 func Compress(in *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats) {
-	g := in.Clone()
+	return CompressInPlace(in.Clone(), opt)
+}
+
+// CompressInPlace is Compress on a grammar the caller owns privately: it
+// recompresses g itself, skipping Compress's defensive clone, and
+// returns it. g must not be shared (a published or otherwise frozen
+// grammar panics on mutation).
+func CompressInPlace(g *grammar.Grammar, opt Options) (*grammar.Grammar, *Stats) {
 	st := &Stats{InputSize: g.Size()}
 	ix := newOccIndex(g, opt.maxRank())
 	sc := newScratch()
@@ -117,8 +124,7 @@ func convertGenerated(n *xmltree.Node, ntOf map[int32]int32) {
 // single-rule grammar and runs GrammarRePair over it ("GrammarRePair
 // applied to trees" in the paper's experiments).
 func CompressTree(st *xmltree.SymbolTable, root *xmltree.Node, opt Options) (*grammar.Grammar, *Stats) {
-	g := grammar.FromTree(st.Clone(), root.Copy())
-	return Compress(g, opt)
+	return CompressInPlace(grammar.FromTree(st.Clone(), root.Copy()), opt)
 }
 
 // CompressDocument compresses a binary XML document.

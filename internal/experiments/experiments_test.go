@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -100,6 +101,33 @@ func TestDynamicOverheads(t *testing.T) {
 		}
 		if p.NaiveSize < p.RecompSize {
 			t.Errorf("updates=%d: naive (%d) smaller than recompressed (%d)?", p.Updates, p.NaiveSize, p.RecompSize)
+		}
+	}
+}
+
+// TestDynamicGolden pins the exact Figs. 4/5 series of the tiny
+// configuration: |G| of the never-recompressed track, of the track
+// recompressed through Store.Recompress every batch, and of TreeRePair
+// from scratch, after each batch. Any change to the update path, the
+// Store's recompression engine or GrammarRePair that moves a single
+// edge shows here.
+func TestDynamicGolden(t *testing.T) {
+	golden := map[string][][4]int{ // {updates, naive, recomp, scratch}
+		"XM": {{20, 591, 424, 427}, {40, 758, 406, 407}, {60, 829, 354, 355}},
+		"EW": {{20, 264, 144, 129}, {40, 352, 126, 97}, {60, 435, 71, 32}},
+	}
+	for short, want := range golden {
+		c, _ := datasets.ByShort(short)
+		res, err := Dynamic(tiny(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][4]int
+		for _, p := range res.Points {
+			got = append(got, [4]int{p.Updates, p.NaiveSize, p.RecompSize, p.ScratchSize})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: series %v, want %v", short, got, want)
 		}
 	}
 }

@@ -71,11 +71,18 @@ func DecodeFrame(data []byte) (payload []byte, n int, err error) {
 	return payload, body + int(ln) + 4, nil
 }
 
+// frameStep is the first buffer a frame larger than the caller's scratch
+// gets before any of its payload has arrived; later steps double.
+const frameStep = 64 << 10
+
 // readFrame reads one frame from a stream into scratch (grown as
 // needed) and returns the payload plus the possibly-regrown scratch for
-// reuse. The length is validated before any allocation, so a hostile
-// peer can never demand more memory than MaxFramePayload; every other
-// defect matches DecodeFrame's.
+// reuse. The length is validated before any allocation, and the buffer
+// then grows only as payload bytes actually arrive — one bounded step,
+// then doubling, never past the declared length — so a header that
+// claims MaxFramePayload and sends nothing costs frameStep, not 64 MiB.
+// A frame that fits one step still takes a single allocation. Every
+// other defect matches DecodeFrame's.
 func readFrame(br *bufio.Reader, scratch []byte) (payload, grown []byte, err error) {
 	ln, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -85,19 +92,25 @@ func readFrame(br *bufio.Reader, scratch []byte) (payload, grown []byte, err err
 		return nil, scratch, fmt.Errorf("server: frame length %d exceeds %d", ln, MaxFramePayload)
 	}
 	need := int(ln) + 4
-	if cap(scratch) < need {
-		scratch = make([]byte, need)
+	buf := scratch[:0]
+	for len(buf) < need {
+		if len(buf) == cap(buf) {
+			next := make([]byte, len(buf), min(need, max(2*cap(buf), frameStep)))
+			copy(next, buf)
+			buf = next
+		}
+		n, err := io.ReadFull(br, buf[len(buf):min(need, cap(buf))])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			return nil, buf, fmt.Errorf("server: short frame: %w", err)
+		}
 	}
-	scratch = scratch[:need]
-	if _, err := io.ReadFull(br, scratch); err != nil {
-		return nil, scratch, fmt.Errorf("server: short frame: %w", err)
-	}
-	payload = scratch[:ln]
-	want := binary.LittleEndian.Uint32(scratch[ln:])
+	payload = buf[:ln]
+	want := binary.LittleEndian.Uint32(buf[ln:])
 	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, scratch, fmt.Errorf("server: frame CRC mismatch (got %08x want %08x)", got, want)
+		return nil, buf, fmt.Errorf("server: frame CRC mismatch (got %08x want %08x)", got, want)
 	}
-	return payload, scratch, nil
+	return payload, buf, nil
 }
 
 // writeFrame frames payload into scratch and writes it to bw as one

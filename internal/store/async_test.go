@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"sync/atomic"
 	"testing"
 
@@ -239,6 +240,43 @@ func TestAsyncDiscardAfterManualRecompress(t *testing.T) {
 		t.Fatalf("recompressions = %d, want the manual run only", stats.Recompressions)
 	}
 	fx.check(t, "after manual recompression")
+}
+
+// TestEngineInlineMatchesBackground pins that the recompression engine
+// yields the same grammar wherever it runs: an Async Store drained with
+// Wait after every batch (so no write ever races its background run)
+// and an inline Store, fed the same policy-firing stream, must encode
+// byte-identically at every batch boundary and count the same runs.
+func TestEngineInlineMatchesBackground(t *testing.T) {
+	for _, short := range []string{"XM", "EW"} {
+		g, ops := streamFixture(t, short, 200, 11)
+		inline := New(g.Clone(), Config{Ratio: 1.2, MinSize: 16})
+		bg := New(g, Config{Ratio: 1.2, MinSize: 16, Async: true})
+		for done := 0; done < len(ops); done += 20 {
+			batch := ops[done:min(done+20, len(ops))]
+			if err := inline.ApplyAll(batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := bg.ApplyAll(batch); err != nil {
+				t.Fatal(err)
+			}
+			bg.Wait()
+			if !bytes.Equal(encodeBytes(t, inline.Snapshot()), encodeBytes(t, bg.Snapshot())) {
+				t.Fatalf("%s: inline and background grammars differ after %d ops", short, done+len(batch))
+			}
+		}
+		is, bs := inline.Stats(), bg.Stats()
+		if is.Recompressions == 0 {
+			t.Fatalf("%s: the stream never fired the policy", short)
+		}
+		if is.Recompressions != bs.Recompressions {
+			t.Fatalf("%s: recompressions inline %d, background %d", short, is.Recompressions, bs.Recompressions)
+		}
+		if bs.AsyncRecompressions != bs.Recompressions || is.AsyncRecompressions != 0 {
+			t.Fatalf("%s: background runs %d of %d, inline reports %d",
+				short, bs.AsyncRecompressions, bs.Recompressions, is.AsyncRecompressions)
+		}
+	}
 }
 
 // TestEpochReadAllocFree guards the swap protocol's read-side cost: the

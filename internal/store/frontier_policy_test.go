@@ -1,7 +1,6 @@
 // Tests for the PR 5 isolation-frontier features of the Store: the
-// indexed-vs-naive differential, the re-fold policy, the
-// isolation-cost recompression trigger, and the fleet-wide
-// recompression gate.
+// indexed-vs-naive differential, the re-fold policy and the
+// isolation-cost recompression trigger.
 package store
 
 import (
@@ -13,7 +12,6 @@ import (
 	"repro/internal/treerepair"
 	"repro/internal/update"
 	"repro/internal/workload"
-	"repro/internal/xmltree"
 )
 
 // streamFixture is a pinned workload against a compressed corpus
@@ -31,17 +29,6 @@ func streamFixture(t *testing.T, short string, ops int, seed int64) (*grammar.Gr
 	}
 	g, _ := treerepair.Compress(seq.Seed, treerepair.Options{})
 	return g, seq.Ops
-}
-
-// flatLogGrammar compresses a small flat log document — the append
-// fixture of the gate test.
-func flatLogGrammar(n int) *grammar.Grammar {
-	root := xmltree.NewUnranked("log")
-	for i := 0; i < n; i++ {
-		root.Children = append(root.Children, xmltree.NewUnranked("rec"))
-	}
-	g, _ := treerepair.Compress(root.Binary(), treerepair.Options{})
-	return g
 }
 
 // TestFrontierVsNaiveByteIdentical replays the same streams through an
@@ -279,100 +266,5 @@ func TestCostTriggerRecompression(t *testing.T) {
 	if st.Recompressions < st.CostRecompressions {
 		t.Fatalf("cost firings (%d) not reflected in recompressions (%d)",
 			st.CostRecompressions, st.Recompressions)
-	}
-}
-
-// TestRecompressGateBounds pins the fleet-wide scheduler: with a
-// width-1 gate shared by two Stores and the first Store's asynchronous
-// run held in flight, the second Store's policy firing must defer (not
-// spawn), and fire for real once the gate frees up.
-func TestRecompressGateBounds(t *testing.T) {
-	shared := NewRecompressGate(1)
-	cfg := Config{Ratio: 1.01, MinSize: 1, Async: true, Gate: shared}
-
-	a := New(flatLogGrammar(64), cfg)
-	ga := newGate(1)
-	ga.install(a)
-	b := New(flatLogGrammar(64), cfg)
-
-	// Degrade a store until its policy fires; with the gated compressor
-	// installed, a spawned run parks inside the compressor and holds the
-	// shared gate slot.
-	degrade := func(s *Store, n int) {
-		for i := 0; i < n; i++ {
-			ts, err := s.TreeSize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			op := update.Op{Kind: update.Insert, Pos: ts - 1, Frag: xmltree.NewUnranked("rec")}
-			if err := s.Apply(op); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	degrade(a, 12)
-	<-ga.entered // A's run is in flight, gate slot taken
-
-	// B degrades: its policy fires but must defer on the saturated gate.
-	degrade(b, 24)
-	if st := b.Stats(); st.DeferredRecompressions == 0 {
-		t.Fatalf("B never deferred: %+v", st)
-	} else if st.AsyncRecompressions != 0 {
-		t.Fatalf("B recompressed through a saturated gate: %+v", st)
-	}
-
-	// Release A; its run completes and frees the gate. B's next batch
-	// boundary fires for real.
-	close(ga.release)
-	a.Wait()
-	degrade(b, 12)
-	b.Wait()
-	if st := b.Stats(); st.Recompressions == 0 {
-		t.Fatalf("B never recompressed after the gate freed: %+v", st)
-	}
-}
-
-// TestShardedSharedGate pins the fleet wiring: MaxConcurrentRecompressions
-// materializes one shared gate for every document of a Sharded store,
-// and the deferred counter aggregates into ShardedStats.
-func TestShardedSharedGate(t *testing.T) {
-	ss := NewSharded(2, Config{
-		Ratio: 1.01, MinSize: 1, Async: true,
-		MaxConcurrentRecompressions: 1,
-	})
-	defer ss.Close()
-	if ss.cfg.Gate == nil {
-		t.Fatal("NewSharded did not materialize the shared gate")
-	}
-	for _, id := range []string{"a", "b", "c", "d"} {
-		if _, err := ss.Open(id, flatLogGrammar(48)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round := 0; round < 10; round++ {
-		for _, id := range ss.Docs() {
-			st, _ := ss.Get(id)
-			ts, err := st.TreeSize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			op := update.Op{Kind: update.Insert, Pos: ts - 1, Frag: xmltree.NewUnranked("rec")}
-			if err := ss.Apply(id, op); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ss.Quiesce()
-	agg := ss.Stats()
-	var perDoc int64
-	for _, id := range ss.Docs() {
-		st, _ := ss.Get(id)
-		perDoc += st.Stats().DeferredRecompressions
-	}
-	if agg.DeferredRecompressions != perDoc {
-		t.Fatalf("aggregate deferred %d, per-doc sum %d", agg.DeferredRecompressions, perDoc)
-	}
-	if agg.Recompressions == 0 {
-		t.Fatalf("fleet never recompressed: %+v", agg)
 	}
 }

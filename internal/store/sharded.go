@@ -145,12 +145,6 @@ type shardJob struct {
 // NewSharded returns a multi-document store with the given shard count
 // (n <= 0 selects GOMAXPROCS) whose documents all use cfg. One worker
 // goroutine per shard is started; call Close to stop them.
-//
-// With Config.MaxConcurrentRecompressions > 0 (and no explicit Gate)
-// the fleet shares one RecompressGate of that width: however many
-// documents degrade at once, at most that many background GrammarRePair
-// runs execute concurrently — the rest defer and fire at a later batch
-// boundary (summed in ShardedStats.DeferredRecompressions).
 func NewSharded(n int, cfg ...Config) *Sharded {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -158,9 +152,6 @@ func NewSharded(n int, cfg ...Config) *Sharded {
 	var c Config
 	if len(cfg) > 0 {
 		c = cfg[0]
-	}
-	if c.Gate == nil && c.MaxConcurrentRecompressions > 0 {
-		c.Gate = NewRecompressGate(c.MaxConcurrentRecompressions)
 	}
 	s := &Sharded{cfg: c, shards: make([]*shard, n)}
 	for i := range s.shards {
@@ -735,7 +726,6 @@ type ShardedStats struct {
 	DiscardedRecompressions int64
 	ReplayedTailOps         int64
 	CostRecompressions      int64
-	DeferredRecompressions  int64 // policy firings deferred by the shared gate
 	Refolds                 int64
 	RefoldedNodes           int64
 	RefoldRules             int64
@@ -782,7 +772,6 @@ func addStats(out *ShardedStats, ds Stats) {
 	out.DiscardedRecompressions += ds.DiscardedRecompressions
 	out.ReplayedTailOps += ds.ReplayedTailOps
 	out.CostRecompressions += ds.CostRecompressions
-	out.DeferredRecompressions += ds.DeferredRecompressions
 	out.Refolds += ds.Refolds
 	out.RefoldedNodes += ds.RefoldedNodes
 	out.RefoldRules += ds.RefoldRules

@@ -81,7 +81,7 @@ func replaySequential(t *testing.T, fx *docFixture, cfg Config, batch int) []byt
 // per-document workloads through a ShardedStore while readers stream
 // Query/CountLabel, and every final snapshot must be byte-identical to
 // a sequential single-Store replay of the same document. Recompression
-// is synchronous here so the per-document grammar evolution is a pure
+// runs inline here so the per-document grammar evolution is a pure
 // function of its op stream — any byte difference is cross-document
 // interference. Run under -race this also pins the locking discipline
 // of the shard workers.

@@ -33,15 +33,18 @@
 //     tight loop, and when recompression pays off the trigger resets to
 //     the configured base. Set Ratio < 0 for manual-only Recompress.
 //
-// # Asynchronous recompression
+// # One recompression engine, run inline or in the background
 //
-// With Config.Async the O(|G|) GrammarRePair pass moves off the write
-// lock entirely. When the policy fires, the Store clones the grammar
-// under the lock (the only stall writers ever see, Stats.StallNanos),
-// stamps the clone with the grammar's update epoch, and compresses the
-// clone in a background goroutine, which also pre-computes the new
-// grammar's size vectors. On completion the swap protocol runs under the
-// write lock:
+// Every GrammarRePair run — policy-fired or a manual Recompress — goes
+// through one engine of three steps: take a private snapshot clone of
+// the grammar stamped with its update epoch, compress the snapshot
+// (GrammarRePair plus the result's size vectors, touching no Store
+// state), and swap the result in under the write lock. Config.Async
+// selects only where the middle step runs. Inline, all three steps run
+// under the write lock and no write can race the run. In the
+// background, the compression runs in a goroutine: writers stall only
+// for the clone and the swap (Stats.StallNanos), and the swap protocol
+// reconciles whatever raced the run:
 //
 //   - epoch unchanged → the snapshot still derives the live document;
 //     the compressed grammar and its pre-warmed size-vector cache are
@@ -55,6 +58,8 @@
 //     Recompress → the run is discarded
 //     (Stats.DiscardedRecompressions) and the policy simply fires again
 //     later.
+//
+// Both modes produce the same grammar bytes for the same op stream.
 //
 // # Concurrency: generational zero-copy reads
 //
@@ -104,13 +109,14 @@ type Config struct {
 	// small documents are not recompressed on every few ops
 	// (0 = DefaultMinSize).
 	MinSize int
-	// Async moves policy-triggered recompression off the write lock: the
-	// grammar is cloned and compressed in a background goroutine and the
-	// result is swapped in under the epoch protocol (see the package
-	// comment). Manual Recompress stays synchronous either way.
+	// Async selects where the recompression engine runs policy-fired
+	// GrammarRePair passes: in a background goroutine, off the write
+	// lock, with the result swapped in under the epoch protocol — or,
+	// when false, inline under the write lock. It changes nothing else
+	// (see the package comment). Manual Recompress always runs inline.
 	Async bool
 	// MaxTail bounds how many update operations may race an in-flight
-	// asynchronous recompression and still be replayed onto its result;
+	// background recompression and still be replayed onto its result;
 	// past the bound the run is discarded instead (0 = DefaultMaxTail,
 	// negative = never replay).
 	MaxTail int
@@ -132,17 +138,6 @@ type Config struct {
 	// RefoldColdOps is how many operations a spine segment must go
 	// untouched before it counts as cold (0 = DefaultRefoldColdOps).
 	RefoldColdOps int
-	// Gate, when non-nil, bounds how many background GrammarRePair runs
-	// may execute concurrently across every Store sharing the gate — the
-	// fleet-wide recompression scheduler. A policy firing while the gate
-	// is saturated is deferred (Stats.DeferredRecompressions) and simply
-	// fires again at a later batch boundary. Only asynchronous runs
-	// consult the gate.
-	Gate *RecompressGate
-	// MaxConcurrentRecompressions, when > 0 and Gate is nil, makes
-	// NewSharded create one shared gate of that width for the whole
-	// fleet. Ignored by single-document Stores (set Gate directly there).
-	MaxConcurrentRecompressions int
 	// MemoryBudget, when > 0, bounds a Sharded fleet's resident
 	// footprint: once the summed ResidentBytes estimate of every live
 	// document exceeds the budget, the coldest documents (least recently
@@ -158,32 +153,6 @@ type Config struct {
 	// OpenSharded); plain New ignores this field.
 	Durability *Durability
 }
-
-// RecompressGate is a semaphore shared between Stores that bounds
-// fleet-wide concurrent background recompressions; see Config.Gate.
-type RecompressGate struct {
-	sem chan struct{}
-}
-
-// NewRecompressGate returns a gate admitting n concurrent background
-// recompressions (n < 1 is clamped to 1).
-func NewRecompressGate(n int) *RecompressGate {
-	if n < 1 {
-		n = 1
-	}
-	return &RecompressGate{sem: make(chan struct{}, n)}
-}
-
-func (g *RecompressGate) tryAcquire() bool {
-	select {
-	case g.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (g *RecompressGate) release() { <-g.sem }
 
 // Policy defaults; see Config.
 const (
@@ -228,16 +197,15 @@ type Stats struct {
 
 	Recompressions          int64 // GrammarRePair runs swapped in (auto + manual)
 	AsyncRecompressions     int64 // of those, runs compressed off the write lock
-	DiscardedRecompressions int64 // async runs thrown away (tail overflow / raced)
-	ReplayedTailOps         int64 // ops replayed onto async results before swap
+	DiscardedRecompressions int64 // runs thrown away (tail overflow / raced)
+	ReplayedTailOps         int64 // ops replayed onto background results before swap
 	CostRecompressions      int64 // runs fired by the isolation-cost trigger
-	DeferredRecompressions  int64 // async runs deferred by a saturated Gate
 	// StallNanos is the cumulative write-lock time spent on
-	// recompression work: the whole GrammarRePair pass for synchronous
-	// runs, only the snapshot clone and the swap for asynchronous ones —
-	// the number the async mode exists to shrink.
+	// recompression work: the whole GrammarRePair pass for inline runs,
+	// only the snapshot clone and the swap for background ones — the
+	// number the background mode exists to shrink.
 	StallNanos int64
-	// RecompressionInflight reports an asynchronous run between snapshot
+	// RecompressionInflight reports a background run between snapshot
 	// and swap at the time of the Stats call.
 	RecompressionInflight bool
 
@@ -325,13 +293,13 @@ type Store struct {
 	sizeRest  int
 	pendingGC bool
 
-	// Asynchronous recompression state (all guarded by mu). gen counts
-	// grammar swaps (sync and async): a completion whose recorded gen no
-	// longer matches arrived after a manual Recompress replaced the
-	// grammar and must be discarded regardless of epochs. While a run is
-	// in flight, every applied op is also appended to tail (up to
-	// maxTail) so the completion can replay the race instead of wasting
-	// the compression.
+	// Recompression engine state (all guarded by mu). gen counts grammar
+	// swaps (inline and background): a background swap whose recorded
+	// gen no longer matches arrived after a manual Recompress replaced
+	// the grammar and must be discarded regardless of epochs. While a
+	// background run is in flight, every applied op is also appended to
+	// tail (up to maxTail) so the swap can replay the race instead of
+	// wasting the compression.
 	inflight     bool
 	gen          uint64
 	tail         []update.Op
@@ -343,8 +311,9 @@ type Store struct {
 	activeRuns int
 	runsDone   *sync.Cond
 
-	// compress is the GrammarRePair entry point; tests inject a slow or
-	// instrumented compressor to pin the swap protocol deterministically.
+	// compress is the GrammarRePair entry point, handed the run's private
+	// snapshot to compress in place; tests inject a slow or instrumented
+	// compressor to pin the swap protocol deterministically.
 	compress func(*grammar.Grammar, core.Options) (*grammar.Grammar, *core.Stats)
 
 	// Cost-trigger baseline: the frontier counters at the last
@@ -384,7 +353,6 @@ type Store struct {
 	discardedRecompressions        int64
 	replayedTailOps                int64
 	costRecompressions             int64
-	deferredRecompressions         int64
 	refolds, refoldedNodes         int64
 	refoldRules                    int64
 	foldFirstRuns                  int64
@@ -429,7 +397,7 @@ func New(g *grammar.Grammar, cfg ...Config) *Store {
 		effRatio:       c.Ratio,
 		lastCompressed: size,
 		peakSize:       size,
-		compress:       core.Compress,
+		compress:       core.CompressInPlace,
 	}
 	s.runsDone = sync.NewCond(&s.mu)
 	s.sizeRest = size - s.startEdgesLocked()
@@ -593,17 +561,11 @@ func (s *Store) finishBatchLocked() {
 		costFired = true
 	}
 	if fire {
-		started := true
-		if s.cfg.Async {
-			// A firing can be absorbed (run already inflight, or the
-			// fleet gate is saturated); only a launched run counts as a
-			// cost-triggered recompression, or the counter would inflate
-			// by one per batch boundary until the inflight run lands.
-			started = s.startAsyncRecompressLocked(costFired)
-		} else {
-			s.recompressLocked(costFired)
-		}
-		if started && costFired {
+		// A background firing is absorbed while a run is in flight; only
+		// a started run counts as a cost-triggered recompression, or the
+		// counter would inflate by one per batch boundary until the
+		// in-flight run lands.
+		if _, started := s.recompressLocked(costFired, s.cfg.Async); started && costFired {
 			s.costRecompressions++
 		}
 		return
@@ -642,7 +604,7 @@ func (s *Store) resetCostBaselineLocked() {
 // indexed segments fold back into fresh rules, shrinking the explicit
 // start RHS (and every future clone and recompression input) without
 // a GrammarRePair run. Document content is untouched, so no epoch bump
-// — an in-flight asynchronous recompression swaps in regardless, which
+// — an in-flight background recompression swaps in regardless, which
 // simply discards the fold's rules along with the rest of the degraded
 // grammar.
 func (s *Store) refoldLocked() {
@@ -660,30 +622,18 @@ func (s *Store) refoldLocked() {
 	if coldOps == 0 {
 		coldOps = DefaultRefoldColdOps
 	}
-	// Folding mints fresh rules — a mutation. Normally applyLocked has
-	// already privatized the grammar this critical section; if not (and
-	// a reader forces a clone here) the clone retired the memo and
-	// Refold below is a harmless no-op.
-	s.ensurePrivateLocked()
-	folds, entries := s.cache.Refold(s.g, coldOps, refoldMaxChunks)
-	if folds > 0 {
-		s.refolds++
-		s.refoldRules += int64(folds)
-		s.refoldedNodes += int64(entries)
-		// Folding minted rules, so the incremental |G| split moved.
-		s.sizeRest = s.g.Size() - s.startEdgesLocked()
-	}
+	s.foldLocked(coldOps, refoldMaxChunks)
 }
 
 // foldFirstLocked re-folds every cold spine run back into fresh rules
 // right before a recompression consumes the grammar: GrammarRePair's
 // pass is O(input size), and the unfolded chains the frontier indexes
 // are exactly the material folding removes — so folding first shrinks
-// the compressor's input (and an asynchronous run's snapshot clone)
-// without changing the document. Age and chunk budgets are waived
-// (coldOps 0, unbounded chunks): everything foldable folds, since the
-// recompression invalidates the index anyway. A no-op when re-folding
-// is disabled or the frontier is empty/naive.
+// the compressor's input (and the run's snapshot clone) without
+// changing the document. Age and chunk budgets are waived (coldOps 0,
+// unbounded chunks): everything foldable folds, since the recompression
+// invalidates the index anyway. A no-op when re-folding is disabled or
+// the frontier is empty/naive.
 //
 // Only COST-triggered recompressions fold first. The spine index is a
 // cache whose contents depend on reader activity (a reader pinning a
@@ -698,102 +648,143 @@ func (s *Store) foldFirstLocked() {
 	if s.cfg.RefoldSpine < 0 {
 		return
 	}
-	// Folding mints rules — a mutation; privatize first. If a reader
-	// forces a clone here the cache hand-off retires the memo and the
-	// Refold below is a harmless no-op.
-	s.ensurePrivateLocked()
-	folds, entries := s.cache.Refold(s.g, 0, 1<<30)
-	if folds > 0 {
+	if s.foldLocked(0, 1<<30) > 0 {
 		s.foldFirstRuns++
+	}
+}
+
+// foldLocked folds up to maxChunks spine segments untouched for coldOps
+// operations back into fresh rules, books the result and returns the
+// number of folds. Folding mints rules — a mutation — so the grammar is
+// privatized first; if a reader forces a clone there, the clone retired
+// the memo and the Refold is a harmless no-op.
+func (s *Store) foldLocked(coldOps int64, maxChunks int) int {
+	s.ensurePrivateLocked()
+	folds, entries := s.cache.Refold(s.g, coldOps, maxChunks)
+	if folds > 0 {
 		s.refolds++
 		s.refoldRules += int64(folds)
 		s.refoldedNodes += int64(entries)
+		// Folding minted rules, so the incremental |G| split moved.
 		s.sizeRest = s.g.Size() - s.startEdgesLocked()
 	}
+	return folds
 }
 
-// startAsyncRecompressLocked launches one background GrammarRePair run:
-// clone the grammar under the lock (the only writer-visible stall), then
-// compress the clone and pre-compute its size vectors off the lock. At
-// most one run is in flight per Store; while the policy keeps firing the
-// grammar just keeps growing until the swap lands.
-func (s *Store) startAsyncRecompressLocked(foldFirst bool) bool {
-	if s.inflight {
-		return false
-	}
-	if s.cfg.Gate != nil && !s.cfg.Gate.tryAcquire() {
-		// The fleet's recompression budget is spent; defer — the policy
-		// fires again at a later batch boundary.
-		s.deferredRecompressions++
-		return false
+// recompressRun is one pass of the recompression engine: a private
+// snapshot of the grammar, stamped with the swap generation and update
+// epoch it was taken at, and — once compress has run — the compressed
+// grammar with its pre-computed size vectors.
+type recompressRun struct {
+	snap       *grammar.Grammar
+	compressor func(*grammar.Grammar, core.Options) (*grammar.Grammar, *core.Stats)
+	opt        core.Options
+	gen, epoch uint64
+	background bool
+
+	g     *grammar.Grammar
+	st    *core.Stats
+	sizes *grammar.SizeTable
+	err   error
+}
+
+// recompressLocked runs the engine once: snapshot, compress, swap.
+// Inline (background false) all three steps run under the held write
+// lock, no write can race the run, and its stats are returned. In the
+// background only the snapshot is taken here — the one writer-visible
+// stall besides the swap — and a goroutine compresses it off the lock,
+// then retakes the lock to swap. At most one background run is in
+// flight per Store: a firing while one is running is absorbed (false),
+// and the grammar just keeps growing until its swap lands.
+func (s *Store) recompressLocked(foldFirst, background bool) (*core.Stats, bool) {
+	if background && s.inflight {
+		return nil, false
 	}
 	start := time.Now()
-	// Fold-first before the snapshot clone: the fold shrinks both the
-	// clone (the writer-visible stall) and the background compressor's
-	// input.
-	if foldFirst {
-		s.foldFirstLocked()
+	r := s.beginRecompressLocked(foldFirst, background)
+	if !background {
+		r.compress()
+		s.swapLocked(r)
+		s.stallNanos += time.Since(start).Nanoseconds()
+		return r.st, true
 	}
-	snap := s.g.Clone()
 	s.stallNanos += time.Since(start).Nanoseconds()
-	s.inflight = true
-	s.tail = s.tail[:0]
-	s.tailOverflow = false
-	gen := s.gen
-	epoch := snap.Epoch()
 	s.activeRuns++
 	go func() {
-		if s.cfg.Gate != nil {
-			defer s.cfg.Gate.release()
-		}
-		g2, st := s.compress(snap, core.Options{MaxRank: s.cfg.MaxRank})
-		sizes, szErr := g2.ValSizes()
-		s.completeAsync(gen, epoch, g2, st, sizes, szErr)
-	}()
-	return true
-}
-
-// completeAsync is the swap protocol: called from the background
-// goroutine with the compressed grammar, its pre-warmed size vectors,
-// and the gen/epoch stamps recorded at snapshot time.
-func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.Stats, sizes *grammar.SizeTable, szErr error) {
-	s.mu.Lock()
-	// Writers are only stalled while the lock is actually held — waiting
-	// for it above is the completion goroutine's problem, not theirs —
-	// so the stall clock starts here.
-	start := time.Now()
-	defer func() {
+		r.compress()
+		s.mu.Lock()
+		// Writers are only stalled while the lock is actually held —
+		// waiting for it is this goroutine's problem, not theirs — so the
+		// stall clock restarts here.
+		start := time.Now()
+		s.swapLocked(r)
 		s.stallNanos += time.Since(start).Nanoseconds()
 		s.activeRuns--
 		s.runsDone.Broadcast()
 		s.mu.Unlock()
 	}()
-	s.inflight = false
-	tail := s.tail
-	s.tail = nil
-	discard := func() {
-		s.discardedRecompressions++
+	return nil, true
+}
+
+// beginRecompressLocked folds first when asked — shrinking both the
+// clone and the compressor's input — then takes the run's one snapshot
+// clone and stamps it. A background run also starts recording the tail
+// of writes that race it.
+func (s *Store) beginRecompressLocked(foldFirst, background bool) *recompressRun {
+	if foldFirst {
+		s.foldFirstLocked()
 	}
-	if gen != s.gen || szErr != nil || s.tailOverflow {
-		// The grammar was replaced under the run (manual Recompress), the
-		// result is unusable, or too many writes raced it.
-		discard()
+	snap := s.g.Clone()
+	if background {
+		s.inflight = true
+		s.tail = s.tail[:0]
+		s.tailOverflow = false
+	}
+	return &recompressRun{
+		snap:       snap,
+		compressor: s.compress,
+		opt:        core.Options{MaxRank: s.cfg.MaxRank},
+		gen:        s.gen,
+		epoch:      snap.Epoch(),
+		background: background,
+	}
+}
+
+// compress runs GrammarRePair on the run's private snapshot and
+// pre-computes the result's size vectors. It touches no Store state, so
+// a background run calls it off the lock.
+func (r *recompressRun) compress() {
+	r.g, r.st = r.compressor(r.snap, r.opt)
+	r.sizes, r.err = r.g.ValSizes()
+}
+
+// swapLocked runs the swap protocol of the package comment under the
+// write lock, with a compressed run in hand; an inline run always finds
+// its epoch unchanged. Every swap then does the same bookkeeping:
+// publish, re-anchor the cost trigger, count, reset the size baseline
+// and tune the policy.
+func (s *Store) swapLocked(r *recompressRun) {
+	var tail []update.Op
+	overflow := false
+	if r.background {
+		s.inflight = false
+		tail, overflow = s.tail, s.tailOverflow
+		s.tail = nil
+	}
+	if r.gen != s.gen || r.err != nil || overflow {
+		s.discardedRecompressions++
 		return
 	}
+	g2 := r.g
 	stranded := false
 	switch {
-	case s.g.Epoch() == epoch:
-		// No write raced the run; the snapshot still derives the live
-		// document. Hand the pre-warmed vectors to the cache — no O(|G|)
-		// pass under the lock.
-		s.cache.Install(sizes)
-	case len(tail) > 0 && s.g.Epoch() == epoch+uint64(len(tail)):
-		// Writes raced the run but every one of them is in the tail:
-		// replay them onto the compressed copy. g2 derives exactly the
-		// snapshot document, so the ops' preorder positions are valid in
-		// order, and each replayed op bumps g2's epoch — after the loop
-		// the epochs line up again and no update is lost.
-		s.cache.Install(sizes)
+	case s.g.Epoch() == r.epoch:
+		s.cache.Install(r.sizes)
+	case len(tail) > 0 && s.g.Epoch() == r.epoch+uint64(len(tail)):
+		// g2 derives exactly the snapshot document, so the tail ops'
+		// preorder positions are valid in order, and each replayed op
+		// bumps g2's epoch — after the loop the epochs line up again.
+		s.cache.Install(r.sizes)
 		for _, op := range tail {
 			str, err := update.ApplyCached(g2, op, &s.cache)
 			if err != nil {
@@ -801,7 +792,7 @@ func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.S
 				// in service of the live grammar and drop the run.
 				s.cache.Invalidate()
 				s.cache.Sizes(s.g)
-				discard()
+				s.discardedRecompressions++
 				return
 			}
 			stranded = stranded || str
@@ -810,7 +801,7 @@ func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.S
 	default:
 		// Epoch moved in a way the tail does not explain (it was trimmed,
 		// or a non-update mutation happened): not safe to swap.
-		discard()
+		s.discardedRecompressions++
 		return
 	}
 	s.g = g2
@@ -821,23 +812,25 @@ func (s *Store) completeAsync(gen, epoch uint64, g2 *grammar.Grammar, st *core.S
 	// generation published below seeds a compact view from the
 	// compressed start-RHS chain lazily, on the first read that wants
 	// indexed descent (generation.spineView), so the swap pays nothing.
-	// The swap is a mutation critical section like any other: readers
-	// must move to the compressed grammar, so publish it. Generations
-	// pinned on the pre-swap grammar keep deriving the old state —
-	// that grammar is frozen and untouched forever.
+	// Generations pinned on the pre-swap grammar keep deriving the old
+	// state — that grammar is frozen and untouched forever.
 	s.publishLocked()
 	s.resetCostBaselineLocked()
 	s.recompressions++
-	s.asyncRecompressions++
+	if r.background {
+		s.asyncRecompressions++
+	}
 	// The policy baseline is what actually went live — including any
 	// growth the tail replay just added — or sustained racing writes
 	// would make every subsequent trigger fire earlier than Ratio says.
 	s.lastCompressed = g2.Size()
 	s.sizeRest = s.lastCompressed - s.startEdgesLocked()
-	if st.MaxIntermediate > s.peakSize {
-		s.peakSize = st.MaxIntermediate
+	if r.st.MaxIntermediate > s.peakSize {
+		s.peakSize = r.st.MaxIntermediate
 	}
-	s.tunePolicy(st.InputSize, st.FinalSize)
+	// The payoff is what GrammarRePair itself achieved: a fold-first
+	// already shrank the input it measured.
+	s.tunePolicy(r.st.InputSize, r.st.FinalSize)
 }
 
 // tunePolicy adapts the trigger ratio to a recompression's payoff: a run
@@ -880,59 +873,19 @@ func (s *Store) startEdgesLocked() int {
 	return s.g.Rule(s.g.Start).RHS.Edges()
 }
 
-// recompressLocked runs GrammarRePair synchronously under the write
-// lock, swaps in the result, invalidates the size-vector cache, and lets
-// the trigger ratio adapt to the payoff.
-func (s *Store) recompressLocked(foldFirst bool) *core.Stats {
-	start := time.Now()
-	// Fold-first: shrink the compressor's input before the O(|G|) pass.
-	// The payoff measurement below uses the post-fold size, so the
-	// trigger tuning sees only what GrammarRePair itself achieved.
-	if foldFirst {
-		s.foldFirstLocked()
-	}
-	before := s.g.Size()
-	g2, st := s.compress(s.g, core.Options{MaxRank: s.cfg.MaxRank})
-	s.g = g2
-	s.gen++
-	s.cache.Invalidate()
-	// Re-warm under the already-held write lock: readers polling
-	// aggregates on a write-idle Store must not each pay a full
-	// ValSizes pass. Publish after the warm-up so the new generation's
-	// O(1) tree-size fast path is prefilled.
-	s.cache.Sizes(g2)
-	// Invalidate retired the spine index with the old grammar; the
-	// generation published below seeds a compact view from the fresh
-	// start-RHS chain lazily, on the first read that wants indexed
-	// descent (generation.spineView) — without that, every point query
-	// after a recompression would descend naively until chains happen
-	// to re-grow, and seeding here eagerly would bill every
-	// recompression for an index only readers need.
-	s.publishLocked()
-	s.resetCostBaselineLocked()
-	s.recompressions++
-	s.lastCompressed = g2.Size()
-	s.sizeRest = s.lastCompressed - s.startEdgesLocked()
-	if st.MaxIntermediate > s.peakSize {
-		s.peakSize = st.MaxIntermediate
-	}
-	s.tunePolicy(before, g2.Size())
-	s.stallNanos += time.Since(start).Nanoseconds()
-	return st
-}
-
-// Recompress forces a synchronous GrammarRePair run regardless of the
-// policy and returns its stats. If an asynchronous run is in flight its
+// Recompress forces an inline GrammarRePair run regardless of the
+// policy and returns its stats. If a background run is in flight its
 // result will be discarded when it completes — the manual run already
 // replaced the grammar it was compressing.
 func (s *Store) Recompress() *core.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.gcLocked()
-	return s.recompressLocked(false)
+	st, _ := s.recompressLocked(false, false)
+	return st
 }
 
-// Wait blocks until no asynchronous recompression is in flight
+// Wait blocks until no background recompression is in flight
 // (swapped in or discarded). It is safe to call concurrently with
 // writers — a run they start while Wait sleeps is simply waited for
 // too, so on return there was an instant with no run in flight.
@@ -946,7 +899,7 @@ func (s *Store) Wait() {
 
 // Epoch returns the published grammar's update epoch: the number of
 // update operations applied to the document as of the last completed
-// batch. This is the stamp the asynchronous swap protocol compares;
+// batch. This is the stamp the background swap protocol compares;
 // reading it is a single atomic load — alloc-free and pin-free, so
 // monitoring polls never force the writer onto a clone.
 func (s *Store) Epoch() uint64 {
@@ -1148,7 +1101,6 @@ func (s *Store) Stats() Stats {
 		DiscardedRecompressions: s.discardedRecompressions,
 		ReplayedTailOps:         s.replayedTailOps,
 		CostRecompressions:      s.costRecompressions,
-		DeferredRecompressions:  s.deferredRecompressions,
 		StallNanos:              s.stallNanos,
 		RecompressionInflight:   s.inflight,
 		SizeCacheHits:           s.cache.Hits,

@@ -132,11 +132,12 @@ func (c *Cache) Invalidate() {
 
 // Install hands the cache a precomputed size-vector table for the
 // grammar it is about to serve, dropping any previous state. This is the
-// cache hand-off of the store's asynchronous recompression swap: the
-// background goroutine computes the new grammar's ValSizes off the write
-// lock and the swap installs the result here, so readers and writers
-// never pay an O(|G|) warm-up pass under the lock. Counted as neither
-// hit nor miss — the work happened, just elsewhere.
+// cache hand-off of the store's recompression swap: the engine computes
+// the new grammar's ValSizes together with the compression — off the
+// write lock when it runs in the background — and the swap installs the
+// result here, so readers and writers never pay a separate O(|G|)
+// warm-up pass under the lock. Counted as neither hit nor miss — the
+// work happened, just elsewhere.
 func (c *Cache) Install(sizes *grammar.SizeTable) {
 	c.sizes = sizes
 	c.retireMemo()
